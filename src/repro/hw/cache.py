@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.errors import HardwareError
 
@@ -136,9 +136,6 @@ class _LruSet:
         if self._tags:
             self._tags.pop(position % len(self._tags))
 
-    def clear(self) -> None:
-        self._tags.clear()
-
     def tags(self) -> List[int]:
         return list(self._tags)
 
@@ -217,10 +214,6 @@ class _PlruSet:
         if resident:
             self._lines[resident[position % len(resident)]] = None
 
-    def clear(self) -> None:
-        self._lines = [None] * self._ways
-        self._bits = [0] * max(self._ways - 1, 0)
-
     def tags(self) -> List[int]:
         return [line for line in self._lines if line is not None]
 
@@ -273,12 +266,12 @@ class _RandomSet:
         if resident:
             self._lines[resident[position % len(resident)]] = None
 
-    def clear(self) -> None:
-        self._lines = [None] * self._ways
-        self._fills = 0
-
     def tags(self) -> List[int]:
         return [line for line in self._lines if line is not None]
+
+
+#: The contents of every set a snapshot finds untouched.
+_NO_TAGS: FrozenSet[int] = frozenset()
 
 
 def _make_set(config: CacheConfig, set_index: int):
@@ -290,13 +283,18 @@ def _make_set(config: CacheConfig, set_index: int):
 
 
 class Cache:
-    """A set-associative cache tracking presence and replacement state."""
+    """A set-associative cache tracking presence and replacement state.
+
+    Sets are created on first fill and dropped wholesale by
+    :meth:`flush_all`, so a run costs what it touches rather than the
+    number of sets.  A set's replacement state starts fresh either way
+    (the ``random`` policy is seeded per set index), so the sparse layout
+    is observationally equal to allocating every set up front.
+    """
 
     def __init__(self, config: Optional[CacheConfig] = None):
         self.config = config or CacheConfig()
-        self._sets = [
-            _make_set(self.config, index) for index in range(self.config.sets)
-        ]
+        self._sets: Dict[int, object] = {}
         self.hits = 0
         self.misses = 0
 
@@ -304,15 +302,20 @@ class Cache:
         self.hits = 0
         self.misses = 0
 
+    def _set_for_fill(self, set_index: int):
+        cache_set = self._sets.get(set_index)
+        if cache_set is None:
+            cache_set = self._sets[set_index] = _make_set(self.config, set_index)
+        return cache_set
+
     def contains(self, addr: int) -> bool:
         """Presence check with no side effect on replacement state."""
-        return self._sets[self.config.set_index(addr)].contains(
-            self.config.tag(addr)
-        )
+        cache_set = self._sets.get(self.config.set_index(addr))
+        return cache_set is not None and cache_set.contains(self.config.tag(addr))
 
     def access(self, addr: int) -> bool:
         """Demand access: returns True on hit; fills the line on miss."""
-        cache_set = self._sets[self.config.set_index(addr)]
+        cache_set = self._set_for_fill(self.config.set_index(addr))
         tag = self.config.tag(addr)
         if cache_set.contains(tag):
             cache_set.touch(tag)
@@ -324,37 +327,41 @@ class Cache:
 
     def prefetch(self, addr: int) -> None:
         """Fill a line without touching hit/miss counters (prefetcher port)."""
-        cache_set = self._sets[self.config.set_index(addr)]
+        cache_set = self._set_for_fill(self.config.set_index(addr))
         tag = self.config.tag(addr)
         if cache_set.contains(tag):
             return
         cache_set.fill(tag)
 
     def flush_all(self) -> None:
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets.clear()
 
     def flush_line(self, addr: int) -> None:
-        self._sets[self.config.set_index(addr)].remove(self.config.tag(addr))
+        cache_set = self._sets.get(self.config.set_index(addr))
+        if cache_set is not None:
+            cache_set.remove(self.config.tag(addr))
 
     def evict_set_way(self, set_index: int, position: int = 0) -> None:
         """Remove one resident line from a set (noise injection hook)."""
-        self._sets[set_index].evict_position(position)
+        cache_set = self._sets.get(set_index)
+        if cache_set is not None:
+            cache_set.evict_position(position)
 
     def insert_line(self, set_index: int, tag: int) -> None:
         """Force a line into a set (noise injection hook)."""
-        cache_set = self._sets[set_index]
+        cache_set = self._set_for_fill(set_index)
         if not cache_set.contains(tag):
             cache_set.fill(tag)
 
     def snapshot(self) -> CacheSnapshot:
-        return CacheSnapshot(
-            tuple(frozenset(cache_set.tags()) for cache_set in self._sets)
-        )
+        tags_per_set = [_NO_TAGS] * self.config.sets
+        for index, cache_set in self._sets.items():
+            tags_per_set[index] = frozenset(cache_set.tags())
+        return CacheSnapshot(tuple(tags_per_set))
 
     def resident_lines(self) -> Tuple[Tuple[int, int], ...]:
         """All resident lines as ``(set_index, tag)`` pairs."""
         out = []
-        for index, cache_set in enumerate(self._sets):
-            out.extend((index, tag) for tag in cache_set.tags())
+        for index in sorted(self._sets):
+            out.extend((index, tag) for tag in self._sets[index].tags())
         return tuple(out)

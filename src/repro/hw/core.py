@@ -127,6 +127,34 @@ class Core:
         self.prefetcher.reset()
         self.tlb.flush_all()
 
+    def reset(self) -> None:
+        """Return the core to its freshly constructed state."""
+        self.flush_all()
+        self.predictor.reset()
+        for unit in self._counted_units():
+            unit.hits = unit.misses = 0
+        self.cycles = 0
+
+    def retained_state(self) -> Tuple:
+        """What :meth:`flush_all` leaves in place: the predictor's counters,
+        the cycle count and the hit/miss counters.  A reset core given this
+        state by :meth:`restore_retained` equals the flushed core."""
+        return (
+            self.predictor.counters(),
+            self.cycles,
+            tuple((unit.hits, unit.misses) for unit in self._counted_units()),
+        )
+
+    def restore_retained(self, state: Tuple) -> None:
+        counters, self.cycles, hits_misses = state
+        self.predictor.load(counters)
+        for unit, (hits, misses) in zip(self._counted_units(), hits_misses):
+            unit.hits, unit.misses = hits, misses
+
+    def _counted_units(self) -> Tuple:
+        l2 = self.hierarchy.l2
+        return (self.cache, self.tlb) if l2 is None else (self.cache, l2, self.tlb)
+
     def timed_access(self, addr: int) -> int:
         """An attacker's timed read: returns the access latency in cycles
         (the PMC cycle-counter measurement of a Flush+Reload probe)."""

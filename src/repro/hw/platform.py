@@ -2,19 +2,27 @@
 
 For every experiment the platform
 
-1. optionally trains the branch predictor by running the program several
-   times from a *training state* (§5.3),
-2. clears the data cache (and prefetcher stream state),
-3. runs the program from each of the two test states,
-4. inspects the final cache state restricted to the attacker-visible sets,
-5. repeats the whole measurement ``repetitions`` times (10 in the paper) and
+1. optionally trains the branch predictor by running the program
+   ``training_runs`` times from a *training state* (§5.3), then clears the
+   data cache, TLB and prefetcher stream state — only the predictor's
+   counters survive into the measurement;
+2. runs the program once from each of the two test states and reads the
+   measured channel (for the cache, restricted to the attacker-visible
+   sets);
+3. repeats the measurement ``repetitions`` times (10 in the paper) and
    classifies the experiment: runs that disagree make it *inconclusive*;
-   otherwise differing snapshots for the two states make it a
-   *counterexample* (distinguishable) and equal snapshots a *pass*.
+   otherwise differing observations for the two states make it a
+   *counterexample* (distinguishable) and equal ones a *pass*.
 
 Measurement noise — interrupts, other masters on the SoC — is modelled as a
-seeded random perturbation of a snapshot with probability ``noise_rate`` per
-measured run.
+seeded random perturbation of an observation with probability
+``noise_rate`` per measured run.  The simulator is deterministic and the
+noise touches only the observation, so the platform simulates each state
+once and applies the noise model per repetition, in the order the runs
+would have happened (first state, then second, repetition by repetition).
+Training is likewise simulated once per (program, training state): the
+post-training state is kept in a small cache keyed by their contents, and
+all runs share one core that is reset in between.
 """
 
 from __future__ import annotations
@@ -98,8 +106,22 @@ class PlatformConfig:
     channel: Channel = Channel.DCACHE
 
 
+#: Trained core states one platform keeps; the oldest is dropped first.
+TRAIN_CACHE_SIZE = 64
+
+
+def _train_key(program: AsmProgram, train: StateInputs) -> Tuple:
+    """The contents a training outcome depends on."""
+    return (
+        program.instructions,
+        tuple(sorted(program.labels.items())),
+        tuple(sorted(train.regs.items())),
+        tuple(sorted(train.memory.items())),
+    )
+
+
 class ExperimentPlatform:
-    """Runs experiments on a freshly reset simulated core."""
+    """Runs experiments on one simulated core, reset before every run."""
 
     def __init__(
         self,
@@ -109,6 +131,8 @@ class ExperimentPlatform:
         self.config = config or PlatformConfig()
         self.rng = rng or SplittableRandom(0)
         self.experiments_run = 0
+        self._core = Core(self.config.core)
+        self._trained: Dict[Tuple, Tuple] = {}
 
     def run_experiment(
         self,
@@ -119,14 +143,16 @@ class ExperimentPlatform:
     ) -> ExperimentResult:
         """Execute the full 2-state, N-repetition measurement protocol."""
         self.experiments_run += 1
+        clean1 = self._measured_run(program, state1, train)
+        clean2 = self._measured_run(program, state2, train)
         snaps1: List[object] = []
         snaps2: List[object] = []
-        # The simulator is deterministic: without measurement noise all
-        # repetitions are bit-identical, so one suffices.
+        # Without measurement noise all repetitions are identical, so one
+        # suffices.
         repetitions = self.config.repetitions if self.config.noise_rate else 1
         for _ in range(repetitions):
-            snaps1.append(self._measured_run(program, state1, train))
-            snaps2.append(self._measured_run(program, state2, train))
+            snaps1.append(self._noisy(clean1))
+            snaps2.append(self._noisy(clean2))
         if any(s != snaps1[0] for s in snaps1) or any(
             s != snaps2[0] for s in snaps2
         ):
@@ -139,22 +165,48 @@ class ExperimentPlatform:
             )
         return ExperimentResult(ExperimentOutcome.PASS, snaps1[0], snaps2[0])
 
+    def prepared_core(
+        self, program: AsmProgram, train: Optional[StateInputs]
+    ) -> Core:
+        """The platform's core, ready for a measured run of ``program``:
+        reset, trained from ``train`` (if any) and flushed.
+
+        The core is reused by the next call, so read what the run needs
+        before preparing another.
+        """
+        core = self._core
+        core.reset()
+        if train is None:
+            return core
+        key = _train_key(program, train)
+        retained = self._trained.get(key)
+        if retained is not None:
+            core.restore_retained(retained)
+            return core
+        for _ in range(self.config.training_runs):
+            core.execute(program, train.to_machine_state())
+        core.flush_all()
+        if len(self._trained) >= TRAIN_CACHE_SIZE:
+            del self._trained[next(iter(self._trained))]
+        self._trained[key] = core.retained_state()
+        return core
+
     def _measured_run(
         self,
         program: AsmProgram,
         inputs: StateInputs,
         train: Optional[StateInputs],
     ):
-        core = Core(self.config.core)
-        if train is not None:
-            for _ in range(self.config.training_runs):
-                core.execute(program, train.to_machine_state())
-        core.flush_all()
+        """One noise-free measurement of the channel."""
+        core = self.prepared_core(program, train)
         cycles_before = core.cycles
         core.execute(program, inputs.to_machine_state())
-        observation = self._observe(core, core.cycles - cycles_before)
+        return self._observe(core, core.cycles - cycles_before)
+
+    def _noisy(self, observation):
+        """One repetition's reading of a clean observation."""
         if self.config.noise_rate and self.rng.chance(self.config.noise_rate):
-            observation = self._perturb(observation)
+            return self._perturb(observation)
         return observation
 
     def _observe(self, core: Core, cycles: int):

@@ -39,6 +39,14 @@ class BranchPredictor:
     def reset(self) -> None:
         self._counters.clear()
 
+    def counters(self) -> Dict[int, int]:
+        """A copy of the trained entries (untrained ones are absent)."""
+        return dict(self._counters)
+
+    def load(self, counters: Dict[int, int]) -> None:
+        """Replace the table with a copy of ``counters``."""
+        self._counters = dict(counters)
+
     def _index(self, pc: int) -> int:
         return pc % self.config.entries
 

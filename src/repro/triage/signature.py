@@ -17,8 +17,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.hw.cache import CacheSnapshot
-from repro.hw.core import Core, ExecutionTrace
-from repro.hw.platform import Channel, PlatformConfig, StateInputs
+from repro.hw.core import ExecutionTrace
+from repro.hw.platform import (
+    Channel,
+    ExperimentPlatform,
+    PlatformConfig,
+    StateInputs,
+)
 from repro.hw.pmc import PerformanceCounters, PmcReading
 from repro.hw.tlb import TlbSnapshot
 from repro.isa.program import AsmProgram
@@ -96,29 +101,25 @@ class _Measurement:
 
 
 def _measure(
+    platform: ExperimentPlatform,
     program: AsmProgram,
     inputs: StateInputs,
     train: Optional[StateInputs],
-    config: PlatformConfig,
 ) -> _Measurement:
     """The platform's measurement protocol, instrumented.
 
-    Mirrors ``ExperimentPlatform._measured_run`` — fresh core, training
-    runs, flush, one measured execution — but keeps the execution trace,
-    both channel snapshots, and the PMC delta of the measured run.
+    Runs on :meth:`ExperimentPlatform.prepared_core` — reset, trained,
+    flushed — like every platform measurement, but keeps the execution
+    trace, both channel snapshots, and the PMC delta of the measured run.
     """
-    core = Core(config.core)
-    if train is not None:
-        for _ in range(config.training_runs):
-            core.execute(program, train.to_machine_state())
-    core.flush_all()
+    core = platform.prepared_core(program, train)
     pmc = PerformanceCounters(core)
     before = pmc.read()
     cycles_before = core.cycles
     trace = core.execute(program, inputs.to_machine_state())
     cache = core.cache.snapshot()
-    if config.attacker_sets is not None:
-        cache = cache.restrict(config.attacker_sets)
+    if platform.config.attacker_sets is not None:
+        cache = cache.restrict(platform.config.attacker_sets)
     return _Measurement(
         trace=trace,
         cache=cache,
@@ -256,8 +257,9 @@ def compute_signature(
     config: PlatformConfig,
 ) -> RootCauseSignature:
     """Replay both states instrumented and distil the root cause."""
-    m1 = _measure(program, state1, train, config)
-    m2 = _measure(program, state2, train, config)
+    platform = ExperimentPlatform(config)
+    m1 = _measure(platform, program, state1, train)
+    m2 = _measure(platform, program, state2, train)
     divergent = _divergent_sets(m1, m2)
     first, detail = _first_divergence(m1, m2, config)
     if config.channel is Channel.TLB and m1.tlb != m2.tlb:

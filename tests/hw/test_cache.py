@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HardwareError
-from repro.hw.cache import Cache, CacheConfig, CacheSnapshot
+from repro.hw.cache import Cache, CacheConfig, CacheSnapshot, _make_set
 
 
 class TestConfig:
@@ -132,3 +132,78 @@ class TestSnapshot:
         assert not cache.contains(5 * 64)
         cache.insert_line(9, tag=3)
         assert (9, 3) in cache.resident_lines()
+
+
+def dense_cache(config: CacheConfig) -> Cache:
+    """A cache with every set allocated up front, the layout the sparse
+    cache must be indistinguishable from."""
+    cache = Cache(config)
+    cache._sets = {index: _make_set(config, index) for index in range(config.sets)}
+    return cache
+
+
+#: Five lines per set in sets 0 and 3, plus one in set 100: conflicts make
+#: every policy choose victims.
+CONFLICT_STREAM = [
+    (set_index << 6) | (tag << 13)
+    for tag in range(5)
+    for set_index in (0, 3)
+] + [100 << 6, 0, 3 << 6, 2 << 13]
+
+
+class TestSparseLayout:
+    @pytest.mark.parametrize("replacement", ["lru", "plru", "random"])
+    def test_snapshot_equals_dense_reference(self, replacement):
+        config = CacheConfig(replacement=replacement, replacement_seed=5)
+        lazy, dense = Cache(config), dense_cache(config)
+        for cache in (lazy, dense):
+            for addr in CONFLICT_STREAM:
+                cache.access(addr)
+            cache.prefetch(77 << 6)
+            cache.flush_line(3 << 6)
+        assert lazy.snapshot() == dense.snapshot()
+        assert hash(lazy.snapshot()) == hash(dense.snapshot())
+        assert lazy.resident_lines() == dense.resident_lines()
+        assert (lazy.hits, lazy.misses) == (dense.hits, dense.misses)
+
+    def test_snapshot_is_the_dense_tuple(self):
+        cache = Cache()
+        cache.access(5 * 64)
+        cache.access(9 * 64 + (2 << 13))
+        expected = [frozenset()] * 128
+        expected[5] = frozenset({0})
+        expected[9] = frozenset({2})
+        snapshot = cache.snapshot()
+        assert snapshot == CacheSnapshot(tuple(expected))
+        assert hash(snapshot) == hash(CacheSnapshot(tuple(expected)))
+        assert len(snapshot.tags_per_set) == 128
+
+    def test_probes_of_untouched_sets_allocate_nothing(self):
+        cache = Cache()
+        assert not cache.contains(0x1000)
+        cache.flush_line(0x2000)
+        cache.evict_set_way(7)
+        assert cache._sets == {}
+        assert cache.snapshot() == Cache().snapshot()
+
+    def test_flush_all_restarts_random_victim_stream(self):
+        config = CacheConfig(replacement="random", replacement_seed=9)
+
+        def victims(cache):
+            seen = []
+            for addr in CONFLICT_STREAM:
+                cache.access(addr)
+                seen.append(cache.resident_lines())
+            return seen
+
+        used = Cache(config)
+        victims(used)
+        used.flush_all()
+        assert victims(used) == victims(Cache(config))
+
+    def test_resident_lines_in_set_index_order(self):
+        cache = Cache()
+        cache.access(100 * 64)
+        cache.access(3 * 64)
+        cache.access(50 * 64)
+        assert [index for index, _ in cache.resident_lines()] == [3, 50, 100]

@@ -3,9 +3,18 @@
 import pytest
 
 from repro.errors import HardwareError
+from repro.hw.cache import CacheConfig
 from repro.hw.core import Core, CoreConfig
+from repro.hw.pmc import PerformanceCounters
 from repro.hw.state import MachineState, Memory
 from repro.isa.assembler import assemble
+from tests.conftest import (
+    RUNNING_EXAMPLE,
+    STRIDE,
+    TEMPLATE_A,
+    TEMPLATE_C,
+    TEMPLATE_D,
+)
 
 
 def run(src, regs=None, memory=None, config=None):
@@ -280,3 +289,71 @@ class TestSpeculation:
         state = MachineState(regs={"x0": 9, "x1": 1, "x5": 0x2000})
         trace = core.execute(assemble(src), state)
         assert trace.transient_loads == []
+
+
+class TestReset:
+    """A reset core is indistinguishable from ``Core(config)``."""
+
+    PROGRAMS = [RUNNING_EXAMPLE, TEMPLATE_A, TEMPLATE_C, STRIDE, TEMPLATE_D]
+    #: Speculation-triggering inputs for every register the programs read.
+    REGS = {
+        "x0": 9, "x1": 1, "x2": 0x2000, "x3": 0x40, "x4": 0,
+        "x5": 0x6000, "x6": 0x80, "x7": 0x8000,
+    }
+    CONFIGS = [
+        CoreConfig(),
+        CoreConfig(
+            l2=CacheConfig(sets=16, ways=2, replacement="random"),
+            straight_line_speculation=True,
+        ),
+    ]
+
+    def measure(self, core, src):
+        pmc = PerformanceCounters(core)
+        before = pmc.read()
+        trace = core.execute(
+            assemble(src), MachineState(regs=dict(self.REGS))
+        )
+        l2 = core.hierarchy.l2_snapshot()
+        return (
+            trace,
+            core.cycles,
+            core.cache.snapshot(),
+            core.cache.resident_lines(),
+            l2,
+            core.tlb.snapshot(),
+            pmc.read(),
+            pmc.read().delta(before),
+        )
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @pytest.mark.parametrize("src", PROGRAMS)
+    def test_reset_core_matches_fresh_core(self, config, src):
+        used = Core(config)
+        # Train every program's branch towards taken (a fresh predictor
+        # says not-taken) and fill the L1, L2 and TLB.
+        for other in self.PROGRAMS:
+            for _ in range(4):
+                used.execute(
+                    assemble(other),
+                    MachineState(regs={"x0": 9, "x1": 9, "x2": 0, "x4": 0}),
+                )
+        used.timed_access(0x123440)
+        assert used.predictor.counters()
+        assert len(used.hierarchy.l2_snapshot() or used.cache.snapshot())
+        used.reset()
+        assert self.measure(used, src) == self.measure(Core(config), src)
+
+    def test_retained_state_restores_a_flushed_core(self):
+        config = self.CONFIGS[1]
+        trained = Core(config)
+        for _ in range(8):
+            trained.execute(assemble(TEMPLATE_A), MachineState(regs={"x4": 7}))
+        trained.flush_all()
+        restored = Core(config)
+        restored.timed_access(0x4000)
+        restored.reset()
+        restored.restore_retained(trained.retained_state())
+        assert self.measure(restored, TEMPLATE_A) == self.measure(
+            trained, TEMPLATE_A
+        )
